@@ -58,9 +58,10 @@ fuzz:
 	$(GO) test -fuzz '^FuzzScanSegment$$' -fuzztime $(FUZZTIME) ./internal/db/diskdb/
 
 # Storage chaos battery under the race detector: fault-injection unit
-# tests, WAL crash/recovery sweep and the figure byte-identity test.
+# tests, the db.KV atomic-batch contract table, the chain crash-offset
+# sweeps and the figure byte-identity tests.
 chaos:
-	$(GO) test -race -run 'Chaos|Crash|WAL|Fault|Torn|Recover|Guard' ./...
+	$(GO) test -race -run 'Chaos|Crash|Fault|Torn|Recover|Guard' ./...
 
 # Disk-backend chaos: the exhaustive crash-offset sweep on real segment
 # files, the disk figure byte-identity run and the archive restart test,
@@ -80,8 +81,9 @@ chaos-replica:
 
 # Benchmarks: three iterations per benchmark (benchtime=1x was too noisy
 # to diff between snapshots; iteration counts land in the JSON), raw text
-# kept, converted into a machine-readable JSON snapshot for the PR record.
-BENCH_JSON ?= BENCH_pr10.json
+# kept, converted into a machine-readable JSON snapshot. The default output
+# is a scratch file; pass BENCH_JSON=BENCH_prN.json to record a snapshot.
+BENCH_JSON ?= bench-run.json
 
 bench:
 	$(GO) test -bench=. -benchtime=3x -benchmem -run '^$$' ./... | tee bench.out
@@ -93,7 +95,7 @@ bench:
 # counts are deterministic per build, so a regression past
 # BENCH_ALLOC_THRESHOLD is a real leak in the pooled-allocation engine,
 # and CI fails on it. Set BENCH_ALLOC_THRESHOLD=0 to report only.
-BENCH_BASELINE ?= BENCH_pr6.json
+BENCH_BASELINE ?= BENCH_pr10.json
 BENCH_THRESHOLD ?= 0
 BENCH_ALLOC_THRESHOLD ?= 10
 

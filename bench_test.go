@@ -440,7 +440,7 @@ func BenchmarkFullFidelityDay(b *testing.B) {
 }
 
 // BenchmarkFullFidelityDayDisk is the same simulated day persisting every
-// trie node, block and WAL record through the log-structured disk backend
+// trie node and block record through the log-structured disk backend
 // (fsync per commit): the price of durability relative to the in-memory
 // run above.
 func BenchmarkFullFidelityDayDisk(b *testing.B) {

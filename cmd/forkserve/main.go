@@ -25,7 +25,7 @@
 // the run to human speed.
 //
 // With -storage disk the simulated chains persist in -datadir; a later
-// run against the same directory reopens the archive (WAL redo, no
+// run against the same directory reopens the archive (segment replay, no
 // re-simulation) and serves identical responses.
 //
 // Replica tier: a primary exposes its chains for replication with -p2p

@@ -65,7 +65,8 @@ type (
 	// batches, bit-rot and stalls.
 	StorageFaults = faultkv.Faults
 	// CrashSpec schedules a storage crash mid-run (Scenario.Crashes): the
-	// named chain's store is killed mid-commit, reopened and WAL-recovered.
+	// named chain's store is killed mid-commit and reopened at its last
+	// committed block.
 	CrashSpec = sim.CrashSpec
 )
 

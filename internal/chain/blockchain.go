@@ -120,42 +120,36 @@ func NewBlockchainWithDB(cfg *Config, gen *Genesis, kv db.KV) (*Blockchain, erro
 		head:       genesis,
 		genesis:    genesis,
 	}
-	wb := store.NewWALBatch()
-	store.PutBlock(wb, genesis)
-	store.PutReceipts(wb, genesis.Hash(), nil)
-	store.PutTD(wb, genesis.Hash(), diff)
-	store.PutStateRoot(wb, genesis.Hash(), root)
-	store.PutCanon(wb, 0, genesis.Hash())
-	store.PutHead(wb, genesis.Hash())
-	if err := store.CommitWAL(wb); err != nil {
-		return nil, err
+	batch := kv.NewBatch()
+	store.PutBlock(batch, genesis)
+	store.PutReceipts(batch, genesis.Hash(), nil)
+	store.PutTD(batch, genesis.Hash(), diff)
+	store.PutStateRoot(batch, genesis.Hash(), root)
+	store.PutCanon(batch, 0, genesis.Hash())
+	store.PutHead(batch, genesis.Hash())
+	if err := batch.Write(); err != nil {
+		return nil, fmt.Errorf("chain: committing genesis: %w", err)
 	}
 	return bc, nil
 }
 
-// Open reopens an existing chain from its store, running WAL recovery
-// first: a torn batch from a crash mid-commit is redone, so the chain
-// reopens exactly at its last durably committed head. Returns ErrNoChain
-// for a store holding no chain at all (create one with
-// NewBlockchainWithDB instead), and an error wrapping ErrCorruptStore
-// when recovery cannot restore a consistent chain (the caller falls back
-// to re-import or resync).
+// Open reopens an existing chain from its store. Every block commits as
+// one atomic batch (db.KV's contract), so a crash mid-commit loses the
+// in-flight block whole and the chain reopens exactly at its last
+// durably committed head. Returns ErrNoChain for a store holding no
+// chain at all (create one with NewBlockchainWithDB instead), and an
+// error wrapping ErrCorruptStore when the head's records fail their
+// integrity check (the caller falls back to re-import or resync).
 func Open(cfg *Config, kv db.KV) (*Blockchain, error) {
 	store := NewStore(kv)
-	if err := store.RecoverWAL(); err != nil {
-		return nil, err
-	}
-	headHash, ok, err := store.Head()
+	head, err := store.verifyHead()
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
+	if head == nil {
 		return nil, ErrNoChain
 	}
-	head, ok, err := store.Block(headHash)
-	if err != nil || !ok {
-		return nil, fmt.Errorf("%w: head block %s unreadable (%v)", ErrCorruptStore, headHash, err)
-	}
+	headHash := head.Hash()
 
 	bc := &Blockchain{
 		cfg:        cfg,
@@ -393,16 +387,15 @@ func (bc *Blockchain) InsertBlock(b *Block) error {
 	td := new(big.Int).Add(bc.tds[parent.Hash()], b.Header.Difficulty)
 
 	// Stage the block's whole persistence — records, fork choice, head —
-	// and commit it through the WAL as one unit, so a crash anywhere in
-	// the write either loses the block entirely or leaves a WAL record
-	// that reopening redoes (see wal.go).
-	wb := bc.store.NewWALBatch()
-	bc.store.PutBlock(wb, b)
-	bc.store.PutReceipts(wb, hash, receipts)
-	bc.store.PutTD(wb, hash, td)
-	bc.store.PutStateRoot(wb, hash, root)
+	// and commit it as one atomic batch, so a crash anywhere in the write
+	// either loses the block entirely or leaves it whole.
+	batch := bc.db.NewBatch()
+	bc.store.PutBlock(batch, b)
+	bc.store.PutReceipts(batch, hash, receipts)
+	bc.store.PutTD(batch, hash, td)
+	bc.store.PutStateRoot(batch, hash, root)
 
-	bc.store.PutBlockTxIndices(wb, b)
+	bc.store.PutBlockTxIndices(batch, b)
 
 	newHead := td.Cmp(bc.tds[bc.head.Hash()]) > 0
 	var updates map[uint64]types.Hash
@@ -410,27 +403,26 @@ func (bc *Blockchain) InsertBlock(b *Block) error {
 	if newHead {
 		updates, stale = bc.canonDelta(b)
 		for n, h := range updates {
-			bc.store.PutCanon(wb, n, h)
+			bc.store.PutCanon(batch, n, h)
 			// A reorg adopts previously side-chain blocks: repoint their
 			// transactions' lookup entries at the now-canonical copies so
 			// the index always resolves along the canonical chain.
 			if h != hash {
 				if adopted, ok := bc.blocks[h]; ok {
-					bc.store.PutBlockTxIndices(wb, adopted)
+					bc.store.PutBlockTxIndices(batch, adopted)
 				}
 			}
 		}
 		for _, n := range stale {
-			bc.store.DeleteCanon(wb, n)
+			bc.store.DeleteCanon(batch, n)
 		}
-		bc.store.PutHead(wb, hash)
+		bc.store.PutHead(batch, hash)
 	}
 
-	if err := bc.store.CommitWAL(wb); err != nil {
-		// Either nothing committed (WAL record never landed) or the store
-		// crashed mid-apply; in both cases the in-memory view must not
-		// advance — Open rebuilds it from the durable state on reopen.
-		return err
+	if err := batch.Write(); err != nil {
+		// The in-memory view must not advance: Open rebuilds it from the
+		// durable state on reopen.
+		return fmt.Errorf("chain: committing block %d: %w", b.Number(), err)
 	}
 
 	bc.blocks[hash] = b
@@ -455,7 +447,7 @@ func (bc *Blockchain) InsertBlock(b *Block) error {
 // requires: entries along b's path back to the existing canonical chain,
 // plus the stale heights to remove after a reorg to a shorter-but-heavier
 // chain. Pure with respect to chain state — the delta is staged into the
-// WAL batch first and applied to the in-memory index only after the
+// block's batch first and applied to the in-memory index only after the
 // commit succeeds.
 func (bc *Blockchain) canonDelta(b *Block) (updates map[uint64]types.Hash, stale []uint64) {
 	updates = make(map[uint64]types.Hash)

@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"testing"
 
+	"forkwatch/internal/db"
 	"forkwatch/internal/types"
 )
 
@@ -638,5 +639,47 @@ func TestGasLimitVoteOnChain(t *testing.T) {
 	bad.Header.GasLimit = good.Header.GasLimit * 2
 	if err := bc.InsertBlock(bad); !errors.Is(err, ErrInvalidHeader) {
 		t.Errorf("bound-jumping gas limit: err = %v", err)
+	}
+}
+
+func TestOpenRoundTrip(t *testing.T) {
+	kv := db.NewMemDB()
+	bc, err := NewBlockchainWithDB(MainnetLikeConfig(), testGenesis(), kv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mine(t, bc, 13, transfer(0, alice, bob, 500, 0))
+	mine(t, bc, 13)
+	mine(t, bc, 13, transfer(1, alice, bob, 250, 0))
+
+	re, err := Open(MainnetLikeConfig(), kv)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if re.Head().Hash() != bc.Head().Hash() {
+		t.Fatalf("reopened head %s, want %s", re.Head().Hash(), bc.Head().Hash())
+	}
+	if re.Genesis().Hash() != bc.Genesis().Hash() {
+		t.Fatal("reopened genesis diverged")
+	}
+	for n := uint64(0); n <= bc.Head().Number(); n++ {
+		a, _ := bc.BlockByNumber(n)
+		b, ok := re.BlockByNumber(n)
+		if !ok || a.Hash() != b.Hash() {
+			t.Fatalf("canonical block %d diverged after reopen", n)
+		}
+		td1, _ := bc.TD(a.Hash())
+		td2, _ := re.TD(a.Hash())
+		if td1.Cmp(td2) != 0 {
+			t.Fatalf("TD at %d diverged after reopen", n)
+		}
+	}
+	// The reopened chain must accept new blocks (head state intact).
+	mine(t, re, 13, transfer(2, alice, bob, 100, 0))
+}
+
+func TestOpenEmptyStore(t *testing.T) {
+	if _, err := Open(MainnetLikeConfig(), db.NewMemDB()); !errors.Is(err, ErrNoChain) {
+		t.Fatalf("Open(empty) = %v, want ErrNoChain", err)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // validation reads — the header hash, each transaction's keccak hash and
 // signature check, the transaction trie root — is pure CPU work on
 // immutable data, so it fans out across a bounded worker pool while the
-// canonical write path (InsertBlock: state execution, WAL commit, canon
+// canonical write path (InsertBlock: state execution, batch commit, canon
 // index) stays strictly ordered on the caller's goroutine. The worker
 // count follows GOMAXPROCS; one worker degenerates to the serial loop.
 

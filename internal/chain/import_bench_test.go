@@ -38,7 +38,7 @@ func buildBenchExport(b *testing.B, blocks, txsPer int) []byte {
 
 // BenchmarkImportChainWorkers measures the pipelined import at different
 // decode/precache worker counts; workers=1 is the serial reference. The
-// insert path (state execution, WAL commit) stays ordered in every
+// insert path (state execution, batch commit) stays ordered in every
 // variant, so the delta isolates the fanned-out decode + keccak +
 // signature + tx-root work.
 func BenchmarkImportChainWorkers(b *testing.B) {

@@ -2,20 +2,22 @@ package chain
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/big"
 
 	"forkwatch/internal/db"
 	"forkwatch/internal/rlp"
+	"forkwatch/internal/trie"
 	"forkwatch/internal/types"
 )
 
 // Store is the KV-backed persistence schema for one chain: blocks,
 // receipts, total difficulty, per-block state roots, the canonical number
-// index, the head marker and the write-ahead log, all in the same db.KV
-// that holds the state trie nodes. Keys are prefixed with a single byte so
-// the content-addressed trie namespace (raw 32-byte hashes) can never
-// collide with chain records (33- or 9-byte keys).
+// index and the head marker, all in the same db.KV that holds the state
+// trie nodes. Keys are prefixed with a single byte so the
+// content-addressed trie namespace (raw 32-byte hashes) can never collide
+// with chain records (33- or 9-byte keys).
 //
 // The Store does no caching and no locking of its own: Blockchain holds
 // the lock and keeps decoded blocks in memory; export tooling reads a
@@ -25,14 +27,19 @@ import (
 // error reports a failed read or a record that failed an integrity check
 // (wrapping db.ErrCorrupt). All mutations queue into a caller-owned
 // db.Batch — including the canonical index and head marker — so one
-// block's whole persistence lands atomically and a torn write is
-// repairable from the WAL (see wal.go).
+// block's whole persistence lands in one atomic batch write. Crash
+// consistency is the db.KV batch contract: a crash either commits the
+// block's batch whole or loses it whole, so the store always reopens at
+// the last durably committed head (DESIGN.md §8).
 type Store struct {
 	kv db.KV
-	// walSeq is the sequence number of the newest committed WAL record
-	// (see wal.go). Mutated only under the owning Blockchain's lock.
-	walSeq uint64
 }
+
+// ErrCorruptStore reports a chain store whose records are inconsistent
+// on reopen (missing bodies, broken canon links, unreadable head) — bytes
+// the medium lost or rotted at rest, since an atomic batch never exposes
+// half a block. The only way forward is re-import or resync.
+var ErrCorruptStore = errors.New("chain: store corrupt")
 
 // Key prefixes of the chain schema.
 const (
@@ -41,7 +48,6 @@ const (
 	prefixTD        = 't' // prefixTD + hash -> total difficulty (big-endian bytes)
 	prefixStateRoot = 's' // prefixStateRoot + hash -> committed state root
 	prefixCanon     = 'n' // prefixCanon + 8-byte BE number -> canonical hash
-	prefixWAL       = 'w' // prefixWAL + 8-byte BE seq -> checksummed WAL record
 	prefixTxIndex   = 'x' // prefixTxIndex + tx hash -> block hash || 4-byte BE index
 )
 
@@ -171,7 +177,7 @@ func (s *Store) StateRoot(h types.Hash) (types.Hash, bool, error) {
 
 // PutCanon queues the canonical hash for height n. The canonical index
 // moves inside the same atomic batch as the block data it points at, so a
-// torn write can never expose a canon entry whose block is missing.
+// crash can never expose a canon entry whose block is missing.
 func (s *Store) PutCanon(batch db.Batch, n uint64, h types.Hash) {
 	batch.Put(canonKey(n), h.Bytes())
 }
@@ -211,11 +217,47 @@ func (s *Store) Head() (types.Hash, bool, error) {
 	return types.BytesToHash(enc), true, nil
 }
 
+// verifyHead checks the durable head invariant on reopen and returns the
+// head block (nil for an empty store): the head marker resolves to a
+// decodable block whose canonical index entry, state root record and
+// committed state trie root are all present. It is the integrity check
+// on bytes read back from the medium.
+func (s *Store) verifyHead() (*Block, error) {
+	headHash, ok, err := s.Head()
+	if err != nil || !ok {
+		return nil, err // empty store: nothing committed, nothing to verify
+	}
+	head, ok, err := s.Block(headHash)
+	if err != nil || !ok {
+		return nil, fmt.Errorf("%w: head block %s unreadable (%v)", ErrCorruptStore, headHash, err)
+	}
+	canon, ok, err := s.CanonHash(head.Number())
+	if err != nil || !ok || canon != headHash {
+		return nil, fmt.Errorf("%w: canon index at %d does not match head %s (%v)", ErrCorruptStore, head.Number(), headHash, err)
+	}
+	root, ok, err := s.StateRoot(headHash)
+	if err != nil || !ok {
+		return nil, fmt.Errorf("%w: no state root for head %s (%v)", ErrCorruptStore, headHash, err)
+	}
+	// An empty trie stores no root node (its EmptyRoot is implicit), so
+	// only non-empty states are probed.
+	if !root.IsZero() && root != trie.EmptyRoot {
+		hasRoot, err := s.kv.Has(root.Bytes())
+		if err != nil {
+			return nil, fmt.Errorf("chain: probing head state root: %w", err)
+		}
+		if !hasRoot {
+			return nil, fmt.Errorf("%w: head state root %s missing from store", ErrCorruptStore, root)
+		}
+	}
+	return head, nil
+}
+
 // TxLookup locates a transaction by hash: the hash of the block that
 // included it and the transaction's position in that block. Entries are
-// written through the same WAL/batch path as the block itself, so a
-// lookup can never race ahead of the block it points at. Lookups replace
-// the O(n) canonical-chain scan a serving layer would otherwise need for
+// written in the same atomic batch as the block itself, so a lookup can
+// never race ahead of the block it points at. Lookups replace the O(n)
+// canonical-chain scan a serving layer would otherwise need for
 // eth_getTransactionByHash / eth_getTransactionReceipt.
 type TxLookup struct {
 	BlockHash types.Hash

@@ -13,8 +13,8 @@
 // Every operation can fail: the interface models a real storage device,
 // not a map. The in-memory backends never return errors on their own, but
 // the faultkv sub-package wraps any KV with deterministic injected I/O
-// errors, torn batches, bit-rot and stalls, and the trie/state/chain
-// layers above are built to survive whatever this interface surfaces.
+// errors, crashes, bit-rot and stalls, and the trie/state/chain layers
+// above are built to survive whatever this interface surfaces.
 // Transient failures (a retriable I/O hiccup) are distinguished from fatal
 // ones via IsTransient; the Retry wrapper turns bounded transience into
 // success so higher layers only ever see faults worth aborting over.
@@ -62,11 +62,9 @@ type KV interface {
 	// Delete removes key. Deleting an absent key is a no-op.
 	Delete(key []byte) error
 	// NewBatch returns an empty write batch whose Write applies every
-	// queued operation atomically: either all operations land or none do
-	// (a Write that returns a transient error must leave the store
-	// untouched). Only a crashed/torn device — see faultkv — may expose
-	// a partially applied batch, which is exactly what the chain WAL
-	// recovers from.
+	// queued operation atomically: either all operations land or none
+	// do, including across a crash. A store reopened after a crash
+	// mid-Write holds the whole batch or none of it, never a part.
 	NewBatch() Batch
 	// Stats returns a snapshot of the store's counters.
 	Stats() Stats
@@ -84,10 +82,13 @@ type Batch interface {
 	// ValueSize returns the total queued value bytes (for flush
 	// heuristics in future disk backends).
 	ValueSize() int
-	// Write applies every queued operation to the backing store and
-	// resets the batch for reuse. On error nothing was applied, except
-	// when the error is a crash/tear (faultkv), after which the store
-	// must be reopened and recovered before further use.
+	// Write applies every queued operation to the backing store, all or
+	// none, and resets the batch for reuse. On a non-crash error nothing
+	// was applied and the batch keeps its operations, so a retry re-runs
+	// them. After a crash error (faultkv or faultfile ErrCrashed) the
+	// store must be reopened before further use; the reopened store holds
+	// either every operation of the batch or none — none unless the crash
+	// was reported after the batch became durable.
 	Write() error
 	// Reset drops all queued operations.
 	Reset()

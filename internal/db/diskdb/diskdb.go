@@ -7,8 +7,9 @@
 // The paper's measurement archive must survive node restarts (§3.1 —
 // export everything, then join); this backend is what lets forkserve
 // reopen the two simulated chains from disk instead of re-simulating
-// them. Crash consistency is the design driver, mirrored from the chain
-// WAL's single-commit-point protocol one layer down:
+// them. Crash consistency is the design driver: the store honours
+// db.KV's atomic-batch contract across crashes, which is all the chain
+// store relies on to reopen at its last committed block.
 //
 //   - A plain Put/Delete is one record, appended and fsynced as a unit.
 //   - A Batch commits as one append of staged records followed by a
@@ -71,9 +72,9 @@ var errClosed = errors.New("diskdb: store is closed")
 // at-rest rot simply exhausts the retry budget and surfaces).
 type transientErr struct{ err error }
 
-func (e transientErr) Error() string   { return e.err.Error() }
-func (e transientErr) Unwrap() error   { return e.err }
-func (transientErr) Transient() bool   { return true }
+func (e transientErr) Error() string { return e.err.Error() }
+func (e transientErr) Unwrap() error { return e.err }
+func (transientErr) Transient() bool { return true }
 
 // entry locates a key's newest record.
 type entry struct {

@@ -19,10 +19,10 @@ import (
 // Record kinds. Plain puts and tombstones commit individually (one
 // Append+Sync per record). A batch commits as one Append+Sync of staged
 // records followed by a commit record carrying the group's operation
-// count — the single durable commit point mirroring the chain WAL's
-// single-Put protocol: replay applies a staged group only when its commit
-// record survives with a matching count, so a torn batch write is
-// indistinguishable from a batch that never happened.
+// count — the batch's single durable commit point: replay applies a
+// staged group only when its commit record survives with a matching
+// count, so a torn batch write is indistinguishable from a batch that
+// never happened.
 const (
 	recPut       = byte(1) // individually committed put
 	recDel       = byte(2) // individually committed tombstone
@@ -32,9 +32,9 @@ const (
 )
 
 const (
-	frameHeader   = 8          // crc32 + payload length
-	payloadHeader = 5          // kind + key length
-	maxPayload    = 256 << 20  // sanity cap: a frame claiming more is treated as garbage
+	frameHeader   = 8         // crc32 + payload length
+	payloadHeader = 5         // kind + key length
+	maxPayload    = 256 << 20 // sanity cap: a frame claiming more is treated as garbage
 )
 
 var (

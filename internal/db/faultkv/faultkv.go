@@ -1,6 +1,6 @@
 // Package faultkv wraps any db.KV with deterministic, seeded storage
-// fault injection: scripted I/O errors, torn (partially applied) batches,
-// bit-rot read corruption and latency stalls — the storage counterpart of
+// fault injection: scripted I/O errors, crashes mid-batch, bit-rot read
+// corruption and latency stalls — the storage counterpart of
 // internal/faultnet's network faults.
 //
 // The paper's observations are stories about nodes surviving hostile
@@ -16,15 +16,16 @@
 //     db.IsTransient sense: db.Retry absorbs bounded runs of them, and
 //     the trie/state/chain layers abort the current commit cleanly if the
 //     budget is exhausted. Failed writes are atomic: nothing was applied.
-//   - Torn batches (TornBatchRate, or an armed CrashAtWriteOp) apply a
-//     strict prefix of the batch and crash the store, modelling power
-//     loss mid-write. Every later operation fails with ErrCrashed until
-//     Reopen; chain.Open then replays its write-ahead log to repair the
-//     tear.
+//   - Torn batches (TornBatchRate, or an armed CrashAtWriteOp) model
+//     power loss mid-write: the crash drops the in-flight batch whole and
+//     kills the store, honouring db.KV's atomic-batch contract the way
+//     diskdb does when its replay drops an uncommitted batch group. Every
+//     later operation fails with ErrCrashed until Reopen; chain.Open then
+//     reopens at the last committed block.
 //   - Bit-rot (CorruptRate) flips one bit in a copy of a read value. The
-//     layers above detect it structurally (RLP decode, WAL checksums)
-//     and either retry or fall back to re-import/resync.
-//   - Stalls (StallEvery/Stall) sleow individual operations down without
+//     layers above detect it structurally (RLP decode, head checks) and
+//     either retry or fall back to re-import/resync.
+//   - Stalls (StallEvery/Stall) slow individual operations down without
 //     failing them, for watchdog and latency testing.
 package faultkv
 
@@ -59,8 +60,8 @@ type Faults struct {
 	// WriteErrRate is the probability a Put/Delete/Batch.Write fails
 	// atomically (nothing applied) with ErrInjected.
 	WriteErrRate float64
-	// TornBatchRate is the probability a Batch.Write applies only a
-	// random strict prefix of its operations and crashes the store.
+	// TornBatchRate is the probability a Batch.Write crashes the store,
+	// applying none of its operations.
 	TornBatchRate float64
 	// CorruptRate is the probability a successful Get returns a copy of
 	// the value with one bit flipped (read-path bit-rot).
@@ -94,9 +95,6 @@ type Event struct {
 	// Key is the first byte of the affected key (the schema namespace
 	// prefix), 0 for batch-level events.
 	Key byte
-	// TornAt is, for torn batches, how many operations were applied
-	// before the tear.
-	TornAt int
 }
 
 // KV decorates an inner store with the fault plan. Safe for concurrent
@@ -145,7 +143,7 @@ func (k *KV) Journal() []Event {
 
 // WriteOps returns the number of write operations applied so far (batch
 // operations count individually). Use with CrashAtWriteOp to land a
-// crash mid-batch deterministically.
+// crash on a chosen write deterministically.
 func (k *KV) WriteOps() uint64 {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -154,8 +152,9 @@ func (k *KV) WriteOps() uint64 {
 
 // CrashAtWriteOp arms a crash: the n-th write operation from the start of
 // the store's life (see WriteOps for the current count) fails with
-// ErrCrashed instead of applying, tearing any batch it lands inside. Every
-// subsequent operation fails with ErrCrashed until Reopen.
+// ErrCrashed instead of applying; a batch it lands inside applies none of
+// its operations. Every subsequent operation fails with ErrCrashed until
+// Reopen.
 func (k *KV) CrashAtWriteOp(n uint64) {
 	k.mu.Lock()
 	k.crashAtWrite = n
@@ -178,9 +177,9 @@ func (k *KV) Crashed() bool {
 }
 
 // Reopen models the process restarting with the same underlying medium:
-// the crash flag clears and any armed crash point is disarmed. Whatever
-// half-applied state the tear left behind is still there — running
-// recovery (chain.Open) is the caller's job.
+// the crash flag clears and any armed crash point is disarmed. Every
+// write that returned nil is still there, a crashed one is not; reopening
+// the layers above (chain.Open) is the caller's job.
 func (k *KV) Reopen() {
 	k.mu.Lock()
 	k.crashed = false
@@ -335,51 +334,27 @@ func (k *KV) Delete(key []byte) error {
 // Stats implements db.KV.
 func (k *KV) Stats() db.Stats { return k.inner.Stats() }
 
-// NewBatch implements db.KV. The batch buffers operations locally so a
-// torn Write can apply a strict prefix through the inner store.
-func (k *KV) NewBatch() db.Batch { return &faultBatch{kv: k} }
-
-type faultOp struct {
-	key   []byte
-	value []byte
-	del   bool
-}
+// NewBatch implements db.KV. Operations queue in an inner batch; Write
+// decides the batch's fate before any of them reaches the inner store.
+func (k *KV) NewBatch() db.Batch { return &faultBatch{Batch: k.inner.NewBatch(), kv: k} }
 
 type faultBatch struct {
-	kv   *KV
-	ops  []faultOp
-	size int
-}
-
-func (b *faultBatch) Put(key, value []byte) {
-	b.ops = append(b.ops, faultOp{key: append([]byte(nil), key...), value: value})
-	b.size += len(value)
-}
-
-func (b *faultBatch) Delete(key []byte) {
-	b.ops = append(b.ops, faultOp{key: append([]byte(nil), key...), del: true})
-}
-
-func (b *faultBatch) Len() int       { return len(b.ops) }
-func (b *faultBatch) ValueSize() int { return b.size }
-
-func (b *faultBatch) Reset() {
-	b.ops = b.ops[:0]
-	b.size = 0
+	db.Batch // the inner batch: Put, Delete, Len, ValueSize, Reset
+	kv       *KV
 }
 
 // Write implements db.Batch. Outcomes, in decision order:
 //
 //  1. crashed store: ErrCrashed, nothing applied;
-//  2. armed crash landing inside this batch: the operations before the
-//     crash point are applied individually (the tear), then ErrCrashed;
+//  2. armed crash landing inside this batch: the store crashes and
+//     nothing is applied (ErrCrashed);
 //  3. transient write error: ErrInjected, nothing applied;
-//  4. torn-batch roll: a random strict prefix applies, then the store
-//     crashes (ErrCrashed);
+//  4. torn-batch roll: as 2;
 //  5. otherwise the whole batch applies atomically via the inner batch.
 func (b *faultBatch) Write() error {
 	k := b.kv
-	if len(b.ops) == 0 {
+	n := uint64(b.Len())
+	if n == 0 {
 		return nil
 	}
 
@@ -388,56 +363,19 @@ func (b *faultBatch) Write() error {
 		k.mu.Unlock()
 		return err
 	}
-	// Armed crash landing within this batch's span?
-	tearAt := -1
-	if k.crashAtWrite != 0 && k.writeOps+uint64(len(b.ops)) >= k.crashAtWrite {
-		tearAt = int(k.crashAtWrite - k.writeOps - 1) // ops applied before the tear
-		if tearAt < 0 {
-			tearAt = 0
-		}
-	} else if !k.disabled && k.f.WriteErrRate > 0 && k.rng.Float64() < k.f.WriteErrRate {
+	crash := k.crashAtWrite != 0 && k.writeOps+n >= k.crashAtWrite
+	if !crash && !k.disabled && k.f.WriteErrRate > 0 && k.rng.Float64() < k.f.WriteErrRate {
 		k.record(Event{Seq: k.ops, Op: "batch", Kind: "ioerr"})
 		k.mu.Unlock()
 		return ErrInjected
-	} else if !k.disabled && k.f.TornBatchRate > 0 && k.rng.Float64() < k.f.TornBatchRate {
-		tearAt = k.rng.Intn(len(b.ops)) // strict prefix: at least one op lost
 	}
-
-	if tearAt >= 0 {
-		applied := 0
-		var err error
-		for _, op := range b.ops[:tearAt] {
-			if op.del {
-				err = k.inner.Delete(op.key)
-			} else {
-				err = k.inner.Put(op.key, op.value)
-			}
-			if err != nil {
-				break
-			}
-			applied++
-		}
-		k.writeOps += uint64(applied)
-		k.record(Event{Seq: k.ops, Op: "batch", Kind: "torn", TornAt: applied})
+	if crash || (!k.disabled && k.f.TornBatchRate > 0 && k.rng.Float64() < k.f.TornBatchRate) {
+		k.record(Event{Seq: k.ops, Op: "batch", Kind: "torn"})
 		k.setCrashed("batch")
 		k.mu.Unlock()
 		return ErrCrashed
 	}
-
-	k.writeOps += uint64(len(b.ops))
+	k.writeOps += n
 	k.mu.Unlock()
-
-	inner := k.inner.NewBatch()
-	for _, op := range b.ops {
-		if op.del {
-			inner.Delete(op.key)
-		} else {
-			inner.Put(op.key, op.value)
-		}
-	}
-	if err := inner.Write(); err != nil {
-		return err
-	}
-	b.Reset()
-	return nil
+	return b.Batch.Write()
 }

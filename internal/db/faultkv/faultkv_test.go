@@ -85,7 +85,9 @@ func TestErrorClassification(t *testing.T) {
 	}
 }
 
-func TestTornBatchAppliesStrictPrefix(t *testing.T) {
+// TestTornBatchAppliesNothing: a torn-batch roll crashes the store and
+// drops the whole batch, the db.KV atomic-batch contract.
+func TestTornBatchAppliesNothing(t *testing.T) {
 	inner := db.NewMemDB()
 	kv := Wrap(inner, Faults{Seed: 1, TornBatchRate: 1})
 
@@ -100,37 +102,20 @@ func TestTornBatchAppliesStrictPrefix(t *testing.T) {
 	if !kv.Crashed() {
 		t.Fatal("store must be crashed after a tear")
 	}
-
-	// A strict prefix applied: 0..tornAt-1 present, the rest absent.
-	applied := 0
-	for i := 0; i < n; i++ {
-		ok, err := inner.Has([]byte{byte(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			if i != applied {
-				t.Fatalf("non-prefix application: key %d present after gap", i)
-			}
-			applied++
-		}
+	if got := inner.Len(); got != 0 {
+		t.Fatalf("torn batch applied %d of %d operations, want none", got, n)
 	}
-	if applied >= n {
-		t.Fatalf("tear applied all %d operations", n)
+	if got := kv.WriteOps(); got != 0 {
+		t.Fatalf("WriteOps after tear = %d, want 0", got)
 	}
-
-	var torn *Event
+	torn := 0
 	for _, ev := range kv.Journal() {
 		if ev.Kind == "torn" {
-			e := ev
-			torn = &e
+			torn++
 		}
 	}
-	if torn == nil {
-		t.Fatal("no torn event journaled")
-	}
-	if torn.TornAt != applied {
-		t.Fatalf("journal says %d ops applied, store has %d", torn.TornAt, applied)
+	if torn != 1 {
+		t.Fatalf("journaled %d torn events, want 1", torn)
 	}
 
 	// Everything fails until Reopen.
@@ -154,7 +139,7 @@ func TestCrashAtWriteOp(t *testing.T) {
 	kv := Wrap(inner, Faults{Seed: 7})
 
 	// Three single writes land, then arm a crash on write op 6: a 5-op
-	// batch starting at op 4 must tear after exactly 2 applied ops.
+	// batch spanning ops 4-8 must crash and apply none of them.
 	for i := 0; i < 3; i++ {
 		if err := kv.Put([]byte{0xf0, byte(i)}, []byte{1}); err != nil {
 			t.Fatal(err)
@@ -173,13 +158,12 @@ func TestCrashAtWriteOp(t *testing.T) {
 		t.Fatalf("armed batch returned %v, want ErrCrashed", err)
 	}
 	for i := 0; i < 5; i++ {
-		ok, _ := inner.Has([]byte{0xb0, byte(i)})
-		if want := i < 2; ok != want {
-			t.Fatalf("batch op %d applied=%v, want %v", i, ok, want)
+		if ok, _ := inner.Has([]byte{0xb0, byte(i)}); ok {
+			t.Fatalf("batch op %d applied inside a crashed batch", i)
 		}
 	}
-	if got := kv.WriteOps(); got != 5 {
-		t.Fatalf("WriteOps after tear = %d, want 5", got)
+	if got := kv.WriteOps(); got != 3 {
+		t.Fatalf("WriteOps after crash = %d, want 3", got)
 	}
 
 	// Reopen disarms: the same write sequence then succeeds.

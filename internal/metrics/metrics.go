@@ -108,14 +108,32 @@ func (h *Histogram) Mean() float64 {
 // estimate interpolates linearly within the landing bucket; observations
 // past the last bound report that bound.
 func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
+	return h.quantile(h.loadCounts(), q)
+}
+
+// loadCounts copies the bucket counts. Writers keep adding while it
+// runs, so quantiles computed from one copy stay ordered where separate
+// reads of the live buckets would not.
+func (h *Histogram) loadCounts() []uint64 {
+	counts := make([]uint64, len(h.counts))
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
+	}
+	return counts
+}
+
+func (h *Histogram) quantile(counts []uint64, q float64) float64 {
+	var total uint64
+	for _, c := range counts {
+		total += c
+	}
 	if total == 0 {
 		return 0
 	}
 	rank := q * float64(total)
 	var cum float64
-	for i := range h.counts {
-		c := float64(h.counts[i].Load())
+	for i, n := range counts {
+		c := float64(n)
 		if cum+c >= rank {
 			lo := 0.0
 			if i > 0 {
@@ -146,12 +164,13 @@ type HistogramSnapshot struct {
 
 // Snapshot returns the histogram's exported view.
 func (h *Histogram) Snapshot() HistogramSnapshot {
+	counts := h.loadCounts()
 	return HistogramSnapshot{
 		Count: h.Count(),
 		Mean:  h.Mean(),
-		P50:   h.Quantile(0.50),
-		P90:   h.Quantile(0.90),
-		P99:   h.Quantile(0.99),
+		P50:   h.quantile(counts, 0.50),
+		P90:   h.quantile(counts, 0.90),
+		P99:   h.quantile(counts, 0.99),
 	}
 }
 

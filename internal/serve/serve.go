@@ -65,8 +65,8 @@ func (r *Result) Close() {
 	r.Server.Close()
 	for _, c := range r.Chains {
 		if err := closeKV(c.Ledger.BC.DB()); err != nil {
-			// The WAL already made the store crash-consistent; a failed
-			// flush costs recovery time on reopen, not data.
+			// Atomic batches already made the store crash-consistent; a
+			// failed flush costs recovery time on reopen, not data.
 			fmt.Printf("serve: closing %s store: %v\n", c.Name, err)
 		}
 	}
@@ -184,8 +184,8 @@ func BuildLive(sc *sim.Scenario, cfg rpc.ServerConfig) (*Result, func() error, e
 
 // Open remounts an archive that an earlier Build persisted through the
 // disk backend: every chain is reopened from sc.Storage.DataDir (each
-// chain lives in its own subdirectory) via chain.Open — WAL redo, no
-// re-simulation — and served exactly as Build would serve them. The
+// chain lives in its own subdirectory) via chain.Open — segment replay,
+// no re-simulation — and served exactly as Build would serve them. The
 // scenario must use the disk backend and full mode; it is otherwise only
 // consulted for the chain configs and the data directory, so the restart
 // serves whatever the directory durably holds. Result.Engine is nil: no

@@ -177,7 +177,7 @@ type dayArena interface{ resetDayArena() }
 // (retry-wrapped when faults are on), the fault injector inside it, and
 // whether the store has died beyond recovery.
 //
-// At most one injector is non-nil, matching the backend: faultkv tears
+// At most one injector is non-nil, matching the backend: faultkv crashes
 // logical batches inside the in-memory stores, faultfile tears physical
 // appends on the medium under the disk store. Both expose the same
 // deterministic crash/arm/journal surface, which the methods below
@@ -197,9 +197,9 @@ type chainStorage struct {
 	// crash: close the dead store, re-run diskdb.Open's recovery scan with
 	// injection paused, re-wrap in the retry policy. Nil unless ffs is set.
 	reopenDisk func() (db.KV, error)
-	// dead marks a store WAL recovery could not repair. The chain stops
-	// mining — the partition behaves as if its miners departed — while
-	// day events keep flowing.
+	// dead marks a store that failed to reopen. The chain stops mining —
+	// the partition behaves as if its miners departed — while day events
+	// keep flowing.
 	dead bool
 }
 
@@ -227,8 +227,8 @@ func (s *chainStorage) enable(on bool) {
 	}
 }
 
-// armCrash arms the injector so the (op+1)-th write from now tears
-// mid-commit and kills the store.
+// armCrash arms the injector so the (op+1)-th write from now kills the
+// store mid-commit.
 func (s *chainStorage) armCrash(op uint64) {
 	switch {
 	case s.faults != nil:
@@ -253,8 +253,8 @@ func (s *chainStorage) journalLen() int {
 // restart models the node process coming back up over the surviving
 // medium: the injector's crash flag clears, and for the disk backend the
 // store is reopened — diskdb.Open truncates the torn tail and drops
-// uncommitted batch groups. The chain-level WAL redo on top (chain.Open)
-// is the caller's job.
+// uncommitted batch groups. Reopening the chain on top (chain.Open) is
+// the caller's job.
 func (s *chainStorage) restart() error {
 	switch {
 	case s.faults != nil:
@@ -329,7 +329,7 @@ func New(sc *Scenario) (*Engine, error) {
 		// keeps each chain in its own DataDir subdirectory. When the
 		// scenario injects storage faults or crashes, the stack per chain
 		// is backend -> injector -> retry (transient absorption): faultkv
-		// tears logical batches inside the in-memory backends, faultfile
+		// crashes logical batches inside the in-memory backends, faultfile
 		// tears physical appends under the disk backend. Injection is held
 		// off until after the genesis bootstrap.
 		attempts := sc.StorageRetryAttempts
@@ -746,13 +746,13 @@ func (e *Engine) finishSigning(plans []txPlan) {
 
 // recoverMine handles a MineBlock failure on a chain wired for storage
 // faults. If the store crashed (torn batch or scheduled kill), it models
-// the node restarting: reopen the medium, run WAL recovery via
-// chain.Open, and either adopt the in-flight block — it reached its WAL
-// commit point before the tear — or re-mine it with identical inputs,
-// which deterministically reproduces the same block, so downstream
-// figures are unaffected by the crash. A store that recovery reports as
-// corrupt beyond repair retires the chain (dead=true): the partition
-// loses its miners for the rest of the run, day events keep flowing.
+// the node restarting: reopen the medium and the chain (chain.Open), and
+// either adopt the in-flight block — its batch became durable before the
+// crash was reported — or re-mine it with identical inputs, which
+// deterministically reproduces the same block, so downstream figures are
+// unaffected by the crash. A store that fails to reopen retires the chain
+// (dead=true): the partition loses its miners for the rest of the run,
+// day events keep flowing.
 //
 // Returns the included transactions, whether a block was produced, and
 // a fatal error. Errors that are not storage crashes surface unchanged.
@@ -775,9 +775,9 @@ func (e *Engine) recoverMine(led Ledger, stg *chainStorage, mineErr error, t uin
 		}
 		fl.BC = bc
 		if bc.Head().Number() == preHead+1 {
-			// The in-flight block committed durably before the crash;
-			// recovery finished applying it. Adopt it instead of
-			// re-mining: its transactions are the included set.
+			// The in-flight block committed durably before the crash.
+			// Adopt it instead of re-mining: its transactions are the
+			// included set.
 			return bc.Head().Txs, true, nil
 		}
 		included, err := fl.MineBlock(t, coinbase, txs)

@@ -32,8 +32,8 @@ func PartitionChainConfigs(sc *Scenario) []*chain.Config {
 }
 
 // OpenFullLedger reopens a full-fidelity ledger over a store that already
-// holds a chain: chain.Open replays the WAL and adopts the persisted
-// head instead of writing a genesis. The ledger is wired with the same
+// holds a chain: chain.Open verifies and adopts the persisted head
+// instead of writing a genesis. The ledger is wired with the same
 // seed-derived seal stream New would hand it, so a process that reopens
 // and keeps mining continues the deterministic sequence.
 func OpenFullLedger(cfg *chain.Config, sc *Scenario, chainName string, kv db.KV) (*FullLedger, error) {

@@ -58,10 +58,10 @@ type Scenario struct {
 	// (db.Retry); zero means db.DefaultRetryAttempts.
 	StorageRetryAttempts int
 	// Crashes schedules storage crashes (ModeFull only): each spec kills
-	// one chain's store mid-commit, after which the engine reopens it,
-	// runs WAL recovery and resumes mining. A store that recovery cannot
-	// repair retires the chain for the rest of the run, like a mining
-	// population departing (O1/O2).
+	// one chain's store mid-commit, after which the engine reopens it at
+	// its last committed block and resumes mining. A store that fails its
+	// integrity check on reopen retires the chain for the rest of the
+	// run, like a mining population departing (O1/O2).
 	Crashes []CrashSpec
 
 	// Parallelism caps how many goroutines the engine uses to step the
@@ -172,9 +172,10 @@ type Scenario struct {
 
 // CrashSpec schedules one storage crash: the store of the partition
 // named Chain is killed Op write operations into the persistence of the
-// Block-th block (0-based) it mines on Day. The tear lands somewhere in
-// that block's commit — the state-trie batch, the WAL record or the data
-// batch, depending on Op — exercising every recovery path.
+// Block-th block (0-based) it mines on Day. The crash lands in that
+// block's commit — the state-trie batch or the chain batch, depending on
+// Op — and drops that batch whole; an Op past the block's last write
+// lands in a later block's commit.
 type CrashSpec struct {
 	Chain string
 	Day   int
